@@ -1,6 +1,7 @@
 //! Experiment E7 — tree pattern match (§2.2): matching positive and perturbed
 //! patterns of growing size against stored trees.
 
+use crimson::ReadOps;
 use crimson_bench::workloads;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use phylo::Tree;

@@ -5,6 +5,7 @@
 //! checks touches only the sampled root paths, so its cost scales with the
 //! sample, not with the stored tree.
 
+use crimson::ReadOps;
 use crimson_bench::workloads;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;

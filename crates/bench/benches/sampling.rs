@@ -2,6 +2,7 @@
 //! with respect to an evolutionary time (§2.2), including the worked Figure 1
 //! example printed as a correctness table.
 
+use crimson::ReadOps;
 use crimson_bench::workloads;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use phylo::builder::figure1_tree;

@@ -19,9 +19,10 @@
 //! affected query transparently falls back to the reader's own re-pinning
 //! path rather than failing the batch.
 
-use crate::error::{CrimsonError, CrimsonResult};
+use crate::error::CrimsonResult;
+use crate::ops::ReadOps;
 use crate::query::PatternMatch;
-use crate::reader::{PinnedReader, RepositoryReader};
+use crate::reader::RepositoryReader;
 use crate::repository::{NodeRecord, Repository, StoredNodeId, TreeHandle};
 use parking_lot::Mutex;
 use phylo::Tree;
@@ -138,13 +139,11 @@ impl QueryBatch {
                         break;
                     }
                     let out = match pinned {
-                        Some(pin) => match run_query_pinned(pin, &queries[i]) {
+                        Some(pin) => match run_query(pin, &queries[i]) {
                             // The pinned epoch outlived the bounded version
                             // chain: serve this query through the reader's
                             // re-pinning path instead of failing it.
-                            Err(CrimsonError::Storage(
-                                storage::StorageError::SnapshotRetired { .. },
-                            )) => run_query(reader, &queries[i]),
+                            Err(e) if e.is_snapshot_retired() => run_query(reader, &queries[i]),
                             out => out,
                         },
                         None => run_query(reader, &queries[i]),
@@ -160,26 +159,7 @@ impl QueryBatch {
     }
 }
 
-fn run_query_pinned(reader: &PinnedReader<'_>, query: &BatchQuery) -> CrimsonResult<BatchOutput> {
-    match query {
-        BatchQuery::Lca(a, b) => reader.lca(*a, *b).map(BatchOutput::Node),
-        BatchQuery::IsAncestor(a, b) => reader.is_ancestor(*a, *b).map(BatchOutput::Flag),
-        BatchQuery::SpanningClade(nodes) => {
-            reader.minimal_spanning_clade(nodes).map(BatchOutput::Nodes)
-        }
-        BatchQuery::Project(handle, leaves) => {
-            reader.project(*handle, leaves).map(BatchOutput::Tree)
-        }
-        BatchQuery::PatternMatch(handle, pattern) => reader
-            .pattern_match(*handle, pattern)
-            .map(|m| BatchOutput::Match(Box::new(m))),
-        BatchQuery::NodeRecord(id) => reader
-            .node_record(*id)
-            .map(|r| BatchOutput::Record(Box::new(r))),
-    }
-}
-
-fn run_query(reader: &RepositoryReader, query: &BatchQuery) -> CrimsonResult<BatchOutput> {
+fn run_query<R: ReadOps>(reader: &R, query: &BatchQuery) -> CrimsonResult<BatchOutput> {
     match query {
         BatchQuery::Lca(a, b) => reader.lca(*a, *b).map(BatchOutput::Node),
         BatchQuery::IsAncestor(a, b) => reader.is_ancestor(*a, *b).map(BatchOutput::Flag),

@@ -13,15 +13,13 @@
 //! are fetched (through their heap locators, via the record cache), because
 //! leaf names are the only cross-tree identity.
 //!
-//! Everything is implemented on [`ReadCtx`], so the same code serves the
-//! writer's [`Repository`] and concurrent snapshot
-//! [`crate::reader::RepositoryReader`]s.
+//! Everything is implemented on [`ReadCtx`] and exposed through
+//! [`crate::ReadOps`], so the same code serves the writer's `Repository`
+//! and concurrent snapshot readers.
 
 use crate::content::TreeContent;
 use crate::error::{CrimsonError, CrimsonResult};
-use crate::repository::{
-    ReadCtx, Repository, StoredNodeId, TreeHandle, TreeStatsRecord, TREE_SHIFT,
-};
+use crate::repository::{ReadCtx, StoredNodeId, TreeHandle, TreeStatsRecord, TREE_SHIFT};
 use labeling::clade_hash::CladeRef;
 use labeling::interval::{interval_key_prefix, interval_range_end, IntervalEntry};
 use phylo::traverse::Traverse;
@@ -357,35 +355,11 @@ impl<'a, D: DbRead> ReadCtx<'a, D> {
     }
 }
 
-impl Repository {
-    /// Robinson–Foulds (rooted and unrooted), per-clade agreement and —
-    /// when `triplets` is set — triplet distance between two stored trees,
-    /// computed inside the interval index: one range scan per tree, leaf
-    /// rows only, no tree materialization.
-    pub fn compare_stored(
-        &self,
-        a: TreeHandle,
-        b: TreeHandle,
-        triplets: bool,
-    ) -> CrimsonResult<SourceComparison> {
-        self.ctx().compare_stored(a, b, triplets)
-    }
-
-    /// Compare a stored tree (reference side) against an in-memory tree.
-    pub fn compare_stored_with_tree(
-        &self,
-        a: TreeHandle,
-        b: &Tree,
-        triplets: bool,
-    ) -> CrimsonResult<SourceComparison> {
-        self.ctx().compare_stored_with_tree(a, b, triplets)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::repository::RepositoryOptions;
+    use crate::repository::{Repository, RepositoryOptions};
+    use crate::ReadOps;
     use phylo::builder::{balanced_binary, figure1_tree};
     use reconstruction::compare::{robinson_foulds, rooted_robinson_foulds, triplet_distance};
     use simulation::birth_death::yule_tree;

@@ -27,6 +27,7 @@
 //!   file upgrades in place.
 
 use crate::error::{CrimsonError, CrimsonResult};
+use crate::ops::ReadOps;
 use crate::repository::{
     decode_node_row, decode_tree_stats_row, ReadCtx, Repository, StoredNodeId, TreeHandle,
     TreeRecord, TreeStatsRecord, BULK_FILL, HASH_IDX_MIN_SPAN, STATS_FLAG_COLD,
@@ -842,55 +843,6 @@ impl Repository {
             }
         }
         self.insert_tree_stats(tree_id, hashes[0], counts, distinct, false)
-    }
-
-    // ------------------------------------------------------------------
-    // Read delegates
-    // ------------------------------------------------------------------
-
-    /// The content-address summary row of a tree, `None` when absent
-    /// (pre-hash file awaiting [`Repository::backfill_clade_hashes`]).
-    pub fn tree_stats(&self, handle: TreeHandle) -> CrimsonResult<Option<TreeStatsRecord>> {
-        self.ctx().tree_stats(handle)
-    }
-
-    /// O(1) whole-tree equality via stored root hashes.
-    pub fn trees_equal(&self, a: TreeHandle, b: TreeHandle) -> CrimsonResult<bool> {
-        self.ctx().trees_equal(a, b)
-    }
-
-    /// O(1) subtree equality between two stored nodes.
-    pub fn subtrees_equal(&self, a: StoredNodeId, b: StoredNodeId) -> CrimsonResult<bool> {
-        self.ctx().subtrees_equal(a, b)
-    }
-
-    /// The canonical clade hash of the subtree rooted at a stored node.
-    pub fn subtree_hash(&self, id: StoredNodeId) -> CrimsonResult<CladeHash> {
-        self.ctx().node_content_hash(id)
-    }
-
-    /// Stored trees whose content address equals `hash` (no-scan lookup).
-    pub fn trees_with_root_hash(&self, hash: CladeHash) -> CrimsonResult<Vec<TreeHandle>> {
-        self.ctx().trees_with_root_hash(hash)
-    }
-
-    /// Every published stored subtree whose content address equals `hash`,
-    /// as `(tree, pre, end)` spans.
-    pub fn subtrees_with_hash(
-        &self,
-        hash: CladeHash,
-    ) -> CrimsonResult<Vec<(TreeHandle, u32, u32)>> {
-        self.ctx().subtrees_with_hash(hash)
-    }
-
-    /// The structural-sharing reference rows of a cold tree.
-    pub fn clade_refs_of(&self, handle: TreeHandle) -> CrimsonResult<Vec<CladeRef>> {
-        self.ctx().clade_refs_of(handle)
-    }
-
-    /// Aggregate sharing statistics across the repository.
-    pub fn content_stats(&self) -> CrimsonResult<ContentStats> {
-        self.ctx().content_stats()
     }
 }
 

@@ -55,6 +55,20 @@ pub enum CrimsonError {
     Busy(String),
 }
 
+impl CrimsonError {
+    /// `true` for the (cold) snapshot-retired signal: a pinned epoch was
+    /// garbage-collected mid-read. A
+    /// [`RepositoryReader`](crate::RepositoryReader) re-pins on it; a caller
+    /// holding a [`PinnedReader`](crate::PinnedReader) falls back to the
+    /// parent reader.
+    pub fn is_snapshot_retired(&self) -> bool {
+        matches!(
+            self,
+            CrimsonError::Storage(storage::StorageError::SnapshotRetired { .. })
+        )
+    }
+}
+
 impl fmt::Display for CrimsonError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {

@@ -29,6 +29,7 @@
 
 use crate::error::{CrimsonError, CrimsonResult};
 use crate::history::QueryKind;
+use crate::ops::ReadOps;
 use crate::repository::{
     ReadCtx, Repository, StoredNodeId, TreeHandle, TreeRecord, BULK_FILL, TREE_SHIFT,
 };
@@ -816,18 +817,20 @@ fn evaluate_grid(
                         break;
                     }
                     let cell = cells[i];
-                    // One pinned snapshot epoch per cell (reader.read()
-                    // pins before the first page touch): the whole cell —
+                    // One pinned snapshot epoch per cell (the reader pins
+                    // before the first page touch): the whole cell —
                     // sampling, distance estimation, comparison — sees one
                     // committed state even while sibling cells commit.
-                    let out = reader.evaluate_cell(
-                        gold,
-                        spec.methods[cell.mi],
-                        spec.distance_source,
-                        &spec.strategies[cell.si],
-                        cell.seed,
-                        spec.compute_triplets,
-                    );
+                    let out = reader.with_ctx(|ctx| {
+                        ctx.evaluate_cell(
+                            gold,
+                            spec.methods[cell.mi],
+                            spec.distance_source,
+                            &spec.strategies[cell.si],
+                            cell.seed,
+                            spec.compute_triplets,
+                        )
+                    });
                     if tx.send((i, out)).is_err() {
                         break;
                     }
@@ -1156,33 +1159,6 @@ fn next_id(repo: &Repository, table: storage::db::TableId, column: &str) -> Crim
     match repo.db.index_range(table, column, None, None)?.last() {
         Some(&rid) => Ok(repo.db.get(table, rid)?.values[0].as_int().unwrap_or(-1) as u64 + 1),
         None => Ok(0),
-    }
-}
-
-impl Repository {
-    /// All persisted experiments, in id order.
-    pub fn list_experiments(&self) -> CrimsonResult<Vec<ExperimentRecord>> {
-        self.ctx().list_experiments()
-    }
-
-    /// Look up an experiment by name.
-    pub fn find_experiment(&self, name: &str) -> CrimsonResult<Option<ExperimentRecord>> {
-        self.ctx().find_experiment(name)
-    }
-
-    /// Look up an experiment by name, failing when absent.
-    pub fn experiment_by_name(&self, name: &str) -> CrimsonResult<ExperimentRecord> {
-        self.ctx().experiment_by_name(name)
-    }
-
-    /// All result rows of an experiment, in grid-cell order.
-    pub fn experiment_results(&self, experiment: u64) -> CrimsonResult<Vec<ExperimentResult>> {
-        self.ctx().experiment_results(experiment)
-    }
-
-    /// The per-clade agreement rows of one result.
-    pub fn experiment_clades(&self, result: u64) -> CrimsonResult<Vec<CladeRow>> {
-        self.ctx().experiment_clades(result)
     }
 }
 

@@ -147,27 +147,13 @@ impl Repository {
         self.next_history_id = id + 1;
         Ok(id)
     }
-
-    /// All recorded queries in execution order.
-    pub fn query_history(&self) -> CrimsonResult<Vec<HistoryEntry>> {
-        self.ctx().query_history()
-    }
-
-    /// Fetch one history entry by id.
-    pub fn history_entry(&self, id: u64) -> CrimsonResult<HistoryEntry> {
-        self.ctx().history_entry(id)
-    }
-
-    /// Entries of a given kind, in execution order.
-    pub fn history_of_kind(&self, kind: QueryKind) -> CrimsonResult<Vec<HistoryEntry>> {
-        self.ctx().history_of_kind(kind)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::repository::RepositoryOptions;
+    use crate::ReadOps;
     use serde_json::json;
     use tempfile::tempdir;
 

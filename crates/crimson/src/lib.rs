@@ -55,6 +55,9 @@
 //!   threads against the last *committed* snapshot, never blocking behind
 //!   an in-flight load, and [`batch::QueryBatch`] fans a batch of queries
 //!   across a scoped worker pool, returning results in submission order.
+//! * **One read surface** ([`ops`]) — every read above is a method of the
+//!   sealed [`ReadOps`] trait, which `Repository`, `RepositoryReader` and
+//!   `PinnedReader` implement; bring it into scope with the prelude.
 //!
 //! ```no_run
 //! use crimson::prelude::*;
@@ -79,6 +82,7 @@ pub mod error;
 pub mod experiment;
 pub mod history;
 pub mod loader;
+pub mod ops;
 pub mod query;
 pub mod reader;
 pub mod repository;
@@ -92,6 +96,7 @@ pub use experiment::{
     ExperimentSpec, Method,
 };
 pub use labeling::clade_hash::CladeHash;
+pub use ops::ReadOps;
 pub use reader::{PinnedReader, ReadRetry, RepositoryReader};
 pub use repository::{
     DegradedReport, Durability, Repository, RepositoryOptions, ScrubReport, StoredNodeId,
@@ -111,6 +116,7 @@ pub mod prelude {
     };
     pub use crate::history::QueryKind;
     pub use crate::loader::LoadMode;
+    pub use crate::ops::ReadOps;
     pub use crate::reader::{PinnedReader, ReadRetry, RepositoryReader};
     pub use crate::repository::{
         DegradedReport, Durability, IntegrityReport, Repository, RepositoryOptions, ScrubReport,

@@ -8,6 +8,7 @@
 
 use crate::error::{CrimsonError, CrimsonResult};
 use crate::history::QueryKind;
+use crate::ops::ReadOps;
 use crate::repository::{Repository, TreeHandle};
 use phylo::nexus::NexusDocument;
 use phylo::{newick, nexus};

@@ -26,13 +26,13 @@
 //! `*_reference` methods: the property tests cross-validate against them and
 //! the benchmark suite uses them as the page-read baseline.
 //!
-//! Everything here is implemented on the shared [`ReadCtx`] engine, so the
-//! same code serves the writer's `Repository` (current view) and concurrent
-//! [`crate::reader::RepositoryReader`]s (committed-snapshot view); all of
-//! it takes `&self`.
+//! Everything here is implemented on the shared [`ReadCtx`] engine and
+//! exposed through [`crate::ReadOps`], so the same code serves the writer's
+//! `Repository` (current view) and concurrent readers (committed-snapshot
+//! view); all of it takes `&self`.
 
 use crate::error::{CrimsonError, CrimsonResult};
-use crate::repository::{NodeRecord, ReadCtx, Repository, StoredNodeId, TreeHandle, TREE_SHIFT};
+use crate::repository::{NodeRecord, ReadCtx, StoredNodeId, TreeHandle, TREE_SHIFT};
 use labeling::interval::{interval_key_prefix, interval_range_end, IntervalEntry};
 use phylo::ops;
 use phylo::{NodeId, Tree};
@@ -379,77 +379,6 @@ impl<'a, D: DbRead> ReadCtx<'a, D> {
     }
 }
 
-impl Repository {
-    /// Minimal spanning clade of a set of nodes: all nodes in the subtree
-    /// rooted at their least common ancestor (§2.2), in pre-order.
-    ///
-    /// Each input node's interval is fetched exactly once; the LCA of the
-    /// whole set is the LCA of its minimum- and maximum-rank members; and
-    /// the clade itself is **one contiguous range scan** over the interval
-    /// index — no per-node row fetch, no breadth-first search.
-    pub fn minimal_spanning_clade(
-        &self,
-        nodes: &[StoredNodeId],
-    ) -> CrimsonResult<Vec<StoredNodeId>> {
-        self.ctx().minimal_spanning_clade(nodes)
-    }
-
-    /// Reference implementation of the minimal spanning clade from before
-    /// the interval index: fold pairwise label-walk LCAs, then breadth-first
-    /// collection through the parent index with one row fetch per node.
-    /// Kept for cross-validation and as the page-read baseline.
-    pub fn minimal_spanning_clade_reference(
-        &self,
-        nodes: &[StoredNodeId],
-    ) -> CrimsonResult<Vec<StoredNodeId>> {
-        self.ctx().minimal_spanning_clade_reference(nodes)
-    }
-
-    /// Project the stored tree onto a set of leaf nodes, following the
-    /// paper's algorithm: sort the leaves by pre-order, insert them left to
-    /// right, and determine each insertion point from the LCA of consecutive
-    /// leaves along the rightmost path of the partial tree. Unary nodes
-    /// never arise; edge weights are differences of stored cumulative root
-    /// distances.
-    ///
-    /// The consecutive-pair LCAs come from the interval index: a **single
-    /// range scan** over `[pre(lca), end(lca)]` with an ancestor stack when
-    /// the selection is dense in its clade, or per-pair interval walks when
-    /// it is sparse (span > `SPARSE_FACTOR`× the selection size). Node rows
-    /// are fetched (through the record cache) only for nodes that appear in
-    /// the output — ~2k rows for k selected leaves, independent of tree
-    /// size.
-    ///
-    /// The result is an in-memory [`Tree`] whose leaves carry the stored
-    /// species names.
-    pub fn project(&self, handle: TreeHandle, leaves: &[StoredNodeId]) -> CrimsonResult<Tree> {
-        self.ctx().project(handle, leaves)
-    }
-
-    /// Reference implementation of projection from before the interval
-    /// index: per-pair label-walk LCAs and uncached row fetches. Kept for
-    /// cross-validation and as the page-read baseline.
-    pub fn project_reference(
-        &self,
-        handle: TreeHandle,
-        leaves: &[StoredNodeId],
-    ) -> CrimsonResult<Tree> {
-        self.ctx().project_reference(handle, leaves)
-    }
-
-    /// Project by species names (§3 "user input" selection).
-    pub fn project_species(&self, handle: TreeHandle, names: &[&str]) -> CrimsonResult<Tree> {
-        self.ctx().project_species(handle, names)
-    }
-
-    /// Tree pattern match (§2.2): project the stored tree onto the pattern's
-    /// leaves and compare the projection with the pattern — exactly for an
-    /// exact match, by Robinson–Foulds distance for an approximate one.
-    pub fn pattern_match(&self, handle: TreeHandle, pattern: &Tree) -> CrimsonResult<PatternMatch> {
-        self.ctx().pattern_match(handle, pattern)
-    }
-}
-
 /// The paper's left-to-right insertion algorithm, decoupled from how the
 /// consecutive-pair LCAs were resolved: `records` are the selected nodes in
 /// pre-order and `lca_records[i]` is the LCA of `records[i]` and
@@ -532,7 +461,8 @@ pub(crate) fn assemble_projection(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::repository::RepositoryOptions;
+    use crate::repository::{Repository, RepositoryOptions};
+    use crate::ReadOps;
     use phylo::builder::{balanced_binary, figure1_tree};
     use phylo::ops::{is_unary_free, project_by_names};
     use simulation::birth_death::yule_tree;

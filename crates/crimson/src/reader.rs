@@ -42,20 +42,16 @@
 
 use crate::cache::ShardedCache;
 use crate::error::{CrimsonError, CrimsonResult};
-use crate::history::{HistoryEntry, QueryKind};
-use crate::query::PatternMatch;
+use crate::ops::ReadOps;
 use crate::repository::{
-    FrameRecord, IntegrityReport, NodeRecord, ReadCtx, Repository, StoredFrameId, StoredNodeId,
-    Tables, TreeHandle, TreeRecord, ENTRY_CACHE_GEN, RECORD_CACHE_GEN,
+    NodeRecord, ReadCtx, Repository, StoredNodeId, Tables, ENTRY_CACHE_GEN, RECORD_CACHE_GEN,
 };
 use labeling::interval::IntervalEntry;
-use phylo::Tree;
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 use storage::db::DbReader;
-use storage::{EpochView, StorageError};
+use storage::EpochView;
 
 /// Monotone id source for per-reader backoff salts: every reader gets its
 /// own splitmix64-whitened seed, so concurrent readers that do hit the
@@ -208,17 +204,25 @@ impl RepositoryReader {
             view,
         })
     }
+}
 
-    /// Run `f` against a freshly pinned snapshot epoch: pin, resolve the
-    /// epoch view, run, unpin. The operation never races the writer — its
-    /// epoch's page versions are immutable — so the only reason to loop is
-    /// the cold [`StorageError::SnapshotRetired`] fallback (the writer
-    /// committed past the bounded version chain mid-operation), in which
-    /// case we re-pin a fresh epoch after a jittered backoff.
-    fn read<R>(
-        &self,
-        f: impl Fn(&ReadCtx<'_, EpochView<'_>>) -> CrimsonResult<R>,
-    ) -> CrimsonResult<R> {
+impl crate::ops::sealed::Sealed for RepositoryReader {}
+
+/// Each read pins a fresh committed epoch: pin, resolve the epoch view,
+/// run, unpin. The operation never races the writer — its epoch's page
+/// versions are immutable — so the only reason to loop is the cold
+/// [`storage::StorageError::SnapshotRetired`] fallback (the writer
+/// committed past the bounded version chain mid-operation), in which case
+/// the reader re-pins a fresh epoch after a jittered backoff, bounded by
+/// its [`ReadRetry`]. This is the workspace's only re-pin loop.
+impl ReadOps for RepositoryReader {
+    type Db<'v> = EpochView<'v>;
+
+    #[allow(private_bounds)]
+    fn with_ctx<R, F>(&self, f: F) -> CrimsonResult<R>
+    where
+        F: Fn(&ReadCtx<'_, EpochView<'_>>) -> CrimsonResult<R>,
+    {
         let attempts = self.retry.attempts.max(1);
         let mut last = String::new();
         for attempt in 0..attempts {
@@ -248,7 +252,7 @@ impl RepositoryReader {
                     f(&ctx)
                 });
             match out {
-                Err(e) if snapshot_retired(&e) => last = e.to_string(),
+                Err(e) if e.is_snapshot_retired() => last = e.to_string(),
                 other => return other,
             }
         }
@@ -263,375 +267,6 @@ impl RepositoryReader {
              the last attempt failed with: {last}"
         )))
     }
-
-    // ------------------------------------------------------------------
-    // Catalog
-    // ------------------------------------------------------------------
-
-    /// Look up a tree by name.
-    pub fn find_tree(&self, name: &str) -> CrimsonResult<Option<TreeRecord>> {
-        self.read(|ctx| ctx.find_tree(name))
-    }
-
-    /// Look up a tree by name, failing when absent.
-    pub fn tree_by_name(&self, name: &str) -> CrimsonResult<TreeRecord> {
-        self.read(|ctx| ctx.tree_by_name(name))
-    }
-
-    /// Look up a tree by handle.
-    pub fn tree_record(&self, handle: TreeHandle) -> CrimsonResult<TreeRecord> {
-        self.read(|ctx| ctx.tree_record(handle))
-    }
-
-    /// All trees committed so far.
-    pub fn list_trees(&self) -> CrimsonResult<Vec<TreeRecord>> {
-        self.read(|ctx| ctx.list_trees())
-    }
-
-    // ------------------------------------------------------------------
-    // Nodes, frames, species
-    // ------------------------------------------------------------------
-
-    /// Fetch a node row (through this reader's record cache).
-    pub fn node_record(&self, id: StoredNodeId) -> CrimsonResult<NodeRecord> {
-        self.read(|ctx| ctx.node_record(id))
-    }
-
-    /// Fetch a frame row.
-    pub fn frame_record(&self, id: StoredFrameId) -> CrimsonResult<FrameRecord> {
-        self.read(|ctx| ctx.frame_record(id))
-    }
-
-    /// Children of a stored node (via the parent index).
-    pub fn children(&self, id: StoredNodeId) -> CrimsonResult<Vec<StoredNodeId>> {
-        self.read(|ctx| ctx.children(id))
-    }
-
-    /// All leaf node ids of a tree.
-    pub fn leaves(&self, handle: TreeHandle) -> CrimsonResult<Vec<StoredNodeId>> {
-        self.read(|ctx| ctx.leaves(handle))
-    }
-
-    /// The leaf node a species name maps to in the given tree, if any.
-    pub fn species_node(
-        &self,
-        handle: TreeHandle,
-        name: &str,
-    ) -> CrimsonResult<Option<StoredNodeId>> {
-        self.read(|ctx| ctx.species_node(handle, name))
-    }
-
-    /// The leaf node a species name maps to, failing when absent.
-    pub fn require_species_node(
-        &self,
-        handle: TreeHandle,
-        name: &str,
-    ) -> CrimsonResult<StoredNodeId> {
-        self.read(|ctx| ctx.require_species_node(handle, name))
-    }
-
-    /// Sequences stored for the given species names.
-    pub fn sequences_for(
-        &self,
-        handle: TreeHandle,
-        names: &[String],
-    ) -> CrimsonResult<HashMap<String, String>> {
-        self.read(|ctx| ctx.sequences_for(handle, names))
-    }
-
-    /// Number of species rows stored for a tree.
-    pub fn species_count(&self, handle: TreeHandle) -> CrimsonResult<usize> {
-        self.read(|ctx| ctx.species_count(handle))
-    }
-
-    // ------------------------------------------------------------------
-    // Structure queries
-    // ------------------------------------------------------------------
-
-    /// The packed `[pre, end]` interval of a stored node.
-    pub fn interval_of(&self, id: StoredNodeId) -> CrimsonResult<(u32, u32)> {
-        self.read(|ctx| ctx.interval_of(id))
-    }
-
-    /// Least common ancestor over the interval index (see
-    /// [`Repository::lca`]).
-    pub fn lca(&self, a: StoredNodeId, b: StoredNodeId) -> CrimsonResult<StoredNodeId> {
-        self.read(|ctx| ctx.lca(a, b))
-    }
-
-    /// Ancestor-or-self test: two interval lookups, two comparisons.
-    pub fn is_ancestor(&self, ancestor: StoredNodeId, node: StoredNodeId) -> CrimsonResult<bool> {
-        self.read(|ctx| ctx.is_ancestor(ancestor, node))
-    }
-
-    /// Reference LCA over the stored hierarchical Dewey labels (see
-    /// [`Repository::lca_label_walk`]); kept on the reader so the
-    /// concurrency stress harness can cross-validate under load.
-    pub fn lca_label_walk(&self, a: StoredNodeId, b: StoredNodeId) -> CrimsonResult<StoredNodeId> {
-        self.read(|ctx| ctx.lca_label_walk(a, b))
-    }
-
-    /// Minimal spanning clade (one LCA + one interval range scan).
-    pub fn minimal_spanning_clade(
-        &self,
-        nodes: &[StoredNodeId],
-    ) -> CrimsonResult<Vec<StoredNodeId>> {
-        self.read(|ctx| ctx.minimal_spanning_clade(nodes))
-    }
-
-    /// Reference spanning clade (label-walk LCA + BFS row fetches).
-    pub fn minimal_spanning_clade_reference(
-        &self,
-        nodes: &[StoredNodeId],
-    ) -> CrimsonResult<Vec<StoredNodeId>> {
-        self.read(|ctx| ctx.minimal_spanning_clade_reference(nodes))
-    }
-
-    /// Tree projection onto a leaf selection (see [`Repository::project`]).
-    pub fn project(&self, handle: TreeHandle, leaves: &[StoredNodeId]) -> CrimsonResult<Tree> {
-        self.read(|ctx| ctx.project(handle, leaves))
-    }
-
-    /// Reference projection (per-pair label walks, uncached rows).
-    pub fn project_reference(
-        &self,
-        handle: TreeHandle,
-        leaves: &[StoredNodeId],
-    ) -> CrimsonResult<Tree> {
-        self.read(|ctx| ctx.project_reference(handle, leaves))
-    }
-
-    /// Project by species names.
-    pub fn project_species(&self, handle: TreeHandle, names: &[&str]) -> CrimsonResult<Tree> {
-        self.read(|ctx| ctx.project_species(handle, names))
-    }
-
-    /// Tree pattern match (projection + comparison).
-    pub fn pattern_match(&self, handle: TreeHandle, pattern: &Tree) -> CrimsonResult<PatternMatch> {
-        self.read(|ctx| ctx.pattern_match(handle, pattern))
-    }
-
-    // ------------------------------------------------------------------
-    // Sampling (deterministic per seed, identical to the writer's draws)
-    // ------------------------------------------------------------------
-
-    /// Execute a sampling strategy, returning the selected leaf nodes.
-    pub fn sample(
-        &self,
-        handle: TreeHandle,
-        strategy: &crate::sampling::SamplingStrategy,
-        seed: u64,
-    ) -> CrimsonResult<Vec<StoredNodeId>> {
-        self.read(|ctx| ctx.sample(handle, strategy, seed))
-    }
-
-    /// Uniformly sample `k` distinct species from the tree.
-    pub fn sample_uniform(
-        &self,
-        handle: TreeHandle,
-        k: usize,
-        seed: u64,
-    ) -> CrimsonResult<Vec<StoredNodeId>> {
-        self.read(|ctx| ctx.sample_uniform(handle, k, seed))
-    }
-
-    /// Sample `k` species with respect to evolutionary time `time`.
-    pub fn sample_by_time(
-        &self,
-        handle: TreeHandle,
-        time: f64,
-        k: usize,
-        seed: u64,
-    ) -> CrimsonResult<Vec<StoredNodeId>> {
-        self.read(|ctx| ctx.sample_by_time(handle, time, k, seed))
-    }
-
-    /// The evolutionary-time frontier (see [`Repository::time_frontier`]).
-    pub fn time_frontier(&self, handle: TreeHandle, time: f64) -> CrimsonResult<Vec<StoredNodeId>> {
-        self.read(|ctx| ctx.time_frontier(handle, time))
-    }
-
-    /// Resolve an explicit list of species names to leaf nodes.
-    pub fn sample_by_names(
-        &self,
-        handle: TreeHandle,
-        names: &[&str],
-    ) -> CrimsonResult<Vec<StoredNodeId>> {
-        self.read(|ctx| ctx.sample_by_names(handle, names))
-    }
-
-    /// The names of a set of stored leaf nodes.
-    pub fn names_of(&self, nodes: &[StoredNodeId]) -> CrimsonResult<Vec<String>> {
-        self.read(|ctx| ctx.names_of(nodes))
-    }
-
-    // ------------------------------------------------------------------
-    // Index-native tree comparison
-    // ------------------------------------------------------------------
-
-    /// Compare two stored trees inside the interval index (see
-    /// [`Repository::compare_stored`]).
-    pub fn compare_stored(
-        &self,
-        a: TreeHandle,
-        b: TreeHandle,
-        triplets: bool,
-    ) -> CrimsonResult<reconstruction::compare::SourceComparison> {
-        self.read(|ctx| ctx.compare_stored(a, b, triplets))
-    }
-
-    /// Compare a stored tree (reference side) against an in-memory tree.
-    pub fn compare_stored_with_tree(
-        &self,
-        a: TreeHandle,
-        b: &Tree,
-        triplets: bool,
-    ) -> CrimsonResult<reconstruction::compare::SourceComparison> {
-        self.read(|ctx| ctx.compare_stored_with_tree(a, b, triplets))
-    }
-
-    // ------------------------------------------------------------------
-    // Content addresses
-    // ------------------------------------------------------------------
-
-    /// The content-address summary row of a tree (see
-    /// [`Repository::tree_stats`]).
-    pub fn tree_stats(
-        &self,
-        handle: TreeHandle,
-    ) -> CrimsonResult<Option<crate::repository::TreeStatsRecord>> {
-        self.read(|ctx| ctx.tree_stats(handle))
-    }
-
-    /// O(1) whole-tree equality via stored root hashes.
-    pub fn trees_equal(&self, a: TreeHandle, b: TreeHandle) -> CrimsonResult<bool> {
-        self.read(|ctx| ctx.trees_equal(a, b))
-    }
-
-    /// O(1) subtree equality between two stored nodes.
-    pub fn subtrees_equal(&self, a: StoredNodeId, b: StoredNodeId) -> CrimsonResult<bool> {
-        self.read(|ctx| ctx.subtrees_equal(a, b))
-    }
-
-    /// The canonical clade hash of the subtree rooted at a stored node.
-    pub fn subtree_hash(&self, id: StoredNodeId) -> CrimsonResult<labeling::CladeHash> {
-        self.read(|ctx| ctx.node_content_hash(id))
-    }
-
-    /// Stored trees whose content address equals `hash` (no-scan lookup).
-    pub fn trees_with_root_hash(
-        &self,
-        hash: labeling::CladeHash,
-    ) -> CrimsonResult<Vec<TreeHandle>> {
-        self.read(|ctx| ctx.trees_with_root_hash(hash))
-    }
-
-    /// Every published stored subtree whose content address equals `hash`.
-    pub fn subtrees_with_hash(
-        &self,
-        hash: labeling::CladeHash,
-    ) -> CrimsonResult<Vec<(TreeHandle, u32, u32)>> {
-        self.read(|ctx| ctx.subtrees_with_hash(hash))
-    }
-
-    /// The structural-sharing reference rows of a cold tree.
-    pub fn clade_refs_of(&self, handle: TreeHandle) -> CrimsonResult<Vec<labeling::CladeRef>> {
-        self.read(|ctx| ctx.clade_refs_of(handle))
-    }
-
-    /// Aggregate sharing statistics across the repository snapshot.
-    pub fn content_stats(&self) -> CrimsonResult<crate::content::ContentStats> {
-        self.read(|ctx| ctx.content_stats())
-    }
-
-    // ------------------------------------------------------------------
-    // Experiments
-    // ------------------------------------------------------------------
-
-    /// Evaluate one experiment grid cell against this snapshot — the unit
-    /// of work [`crate::experiment::ExperimentRunner`] fans across workers.
-    pub(crate) fn evaluate_cell(
-        &self,
-        gold: TreeHandle,
-        method: crate::experiment::Method,
-        distance_source: crate::experiment::DistanceSource,
-        strategy: &crate::sampling::SamplingStrategy,
-        seed: u64,
-        compute_triplets: bool,
-    ) -> CrimsonResult<crate::experiment::CellEval> {
-        self.read(|ctx| {
-            ctx.evaluate_cell(
-                gold,
-                method,
-                distance_source,
-                strategy,
-                seed,
-                compute_triplets,
-            )
-        })
-    }
-
-    /// All persisted experiments, in id order.
-    pub fn list_experiments(&self) -> CrimsonResult<Vec<crate::experiment::ExperimentRecord>> {
-        self.read(|ctx| ctx.list_experiments())
-    }
-
-    /// Look up an experiment by name, failing when absent.
-    pub fn experiment_by_name(
-        &self,
-        name: &str,
-    ) -> CrimsonResult<crate::experiment::ExperimentRecord> {
-        self.read(|ctx| ctx.experiment_by_name(name))
-    }
-
-    /// All result rows of an experiment, in grid-cell order.
-    pub fn experiment_results(
-        &self,
-        experiment: u64,
-    ) -> CrimsonResult<Vec<crate::experiment::ExperimentResult>> {
-        self.read(|ctx| ctx.experiment_results(experiment))
-    }
-
-    /// The per-clade agreement rows of one result.
-    pub fn experiment_clades(
-        &self,
-        result: u64,
-    ) -> CrimsonResult<Vec<crate::experiment::CladeRow>> {
-        self.read(|ctx| ctx.experiment_clades(result))
-    }
-
-    // ------------------------------------------------------------------
-    // History and integrity
-    // ------------------------------------------------------------------
-
-    /// All recorded queries in execution order.
-    pub fn query_history(&self) -> CrimsonResult<Vec<HistoryEntry>> {
-        self.read(|ctx| ctx.query_history())
-    }
-
-    /// Entries of a given kind, in execution order.
-    pub fn history_of_kind(&self, kind: QueryKind) -> CrimsonResult<Vec<HistoryEntry>> {
-        self.read(|ctx| ctx.history_of_kind(kind))
-    }
-
-    /// Fetch one history entry by id.
-    pub fn history_entry(&self, id: u64) -> CrimsonResult<HistoryEntry> {
-        self.read(|ctx| ctx.history_entry(id))
-    }
-
-    /// Cross-table invariant check over the committed state.
-    pub fn integrity_check(&self) -> CrimsonResult<IntegrityReport> {
-        self.read(|ctx| ctx.integrity_check())
-    }
-}
-
-/// `true` when the error is the (cold) snapshot-retired signal — the only
-/// failure [`RepositoryReader::read`] re-pins on.
-fn snapshot_retired(e: &CrimsonError) -> bool {
-    matches!(
-        e,
-        CrimsonError::Storage(StorageError::SnapshotRetired { .. })
-    )
 }
 
 /// A [`RepositoryReader`] frozen at one snapshot epoch, created by
@@ -643,10 +278,10 @@ fn snapshot_retired(e: &CrimsonError) -> bool {
 ///
 /// Holding the pin keeps the epoch's page versions alive in the pool, so
 /// drop it promptly when done. A query can still fail with
-/// [`StorageError::SnapshotRetired`] if the writer commits more versions of
-/// a touched page than the bounded chain keeps (unreachable in the stress
-/// harness at the current depth); callers who need to absorb even that fall
-/// back to the parent reader's re-pinning methods.
+/// [`storage::StorageError::SnapshotRetired`] if the writer commits more
+/// versions of a touched page than the bounded chain keeps (unreachable in
+/// the stress harness at the current depth); callers who need to absorb
+/// even that re-run the read on the parent reader.
 pub struct PinnedReader<'a> {
     reader: &'a RepositoryReader,
     _pin: storage::EpochPin,
@@ -667,149 +302,126 @@ impl PinnedReader<'_> {
     pub fn epoch(&self) -> u64 {
         self.view.epoch()
     }
+}
 
-    /// Run `f` against the pinned epoch view with the parent reader's
-    /// caches.
-    fn run<R>(
-        &self,
-        f: impl FnOnce(&ReadCtx<'_, EpochView<'_>>) -> CrimsonResult<R>,
-    ) -> CrimsonResult<R> {
-        let ctx = ReadCtx {
+impl crate::ops::sealed::Sealed for PinnedReader<'_> {}
+
+/// Every read runs against the pinned epoch view with the parent reader's
+/// caches; a retired epoch surfaces as `SnapshotRetired`.
+impl ReadOps for PinnedReader<'_> {
+    type Db<'v> = EpochView<'v>;
+
+    #[allow(private_bounds)]
+    fn with_ctx<R, F>(&self, f: F) -> CrimsonResult<R>
+    where
+        F: Fn(&ReadCtx<'_, EpochView<'_>>) -> CrimsonResult<R>,
+    {
+        f(&ReadCtx {
             db: &self.view,
             tables: self.reader.tables,
             records: &self.reader.records,
             entries: &self.reader.entries,
-        };
-        f(&ctx)
-    }
-
-    /// Look up a tree by name.
-    pub fn find_tree(&self, name: &str) -> CrimsonResult<Option<TreeRecord>> {
-        self.run(|ctx| ctx.find_tree(name))
-    }
-
-    /// Look up a tree by name, failing when absent.
-    pub fn tree_by_name(&self, name: &str) -> CrimsonResult<TreeRecord> {
-        self.run(|ctx| ctx.tree_by_name(name))
-    }
-
-    /// All trees committed as of the pinned epoch.
-    pub fn list_trees(&self) -> CrimsonResult<Vec<TreeRecord>> {
-        self.run(|ctx| ctx.list_trees())
-    }
-
-    /// Fetch a node row (through the parent reader's record cache).
-    pub fn node_record(&self, id: StoredNodeId) -> CrimsonResult<NodeRecord> {
-        self.run(|ctx| ctx.node_record(id))
-    }
-
-    /// All leaf node ids of a tree.
-    pub fn leaves(&self, handle: TreeHandle) -> CrimsonResult<Vec<StoredNodeId>> {
-        self.run(|ctx| ctx.leaves(handle))
-    }
-
-    /// The leaf node a species name maps to in the given tree, if any.
-    pub fn species_node(
-        &self,
-        handle: TreeHandle,
-        name: &str,
-    ) -> CrimsonResult<Option<StoredNodeId>> {
-        self.run(|ctx| ctx.species_node(handle, name))
-    }
-
-    /// Least common ancestor over the interval index.
-    pub fn lca(&self, a: StoredNodeId, b: StoredNodeId) -> CrimsonResult<StoredNodeId> {
-        self.run(|ctx| ctx.lca(a, b))
-    }
-
-    /// Ancestor-or-self test.
-    pub fn is_ancestor(&self, ancestor: StoredNodeId, node: StoredNodeId) -> CrimsonResult<bool> {
-        self.run(|ctx| ctx.is_ancestor(ancestor, node))
-    }
-
-    /// Reference LCA over the stored hierarchical labels.
-    pub fn lca_label_walk(&self, a: StoredNodeId, b: StoredNodeId) -> CrimsonResult<StoredNodeId> {
-        self.run(|ctx| ctx.lca_label_walk(a, b))
-    }
-
-    /// Minimal spanning clade (one LCA + one interval range scan).
-    pub fn minimal_spanning_clade(
-        &self,
-        nodes: &[StoredNodeId],
-    ) -> CrimsonResult<Vec<StoredNodeId>> {
-        self.run(|ctx| ctx.minimal_spanning_clade(nodes))
-    }
-
-    /// Reference spanning clade (label-walk LCA + BFS row fetches).
-    pub fn minimal_spanning_clade_reference(
-        &self,
-        nodes: &[StoredNodeId],
-    ) -> CrimsonResult<Vec<StoredNodeId>> {
-        self.run(|ctx| ctx.minimal_spanning_clade_reference(nodes))
-    }
-
-    /// Tree projection onto a leaf selection.
-    pub fn project(&self, handle: TreeHandle, leaves: &[StoredNodeId]) -> CrimsonResult<Tree> {
-        self.run(|ctx| ctx.project(handle, leaves))
-    }
-
-    /// Reference projection (per-pair label walks, uncached rows).
-    pub fn project_reference(
-        &self,
-        handle: TreeHandle,
-        leaves: &[StoredNodeId],
-    ) -> CrimsonResult<Tree> {
-        self.run(|ctx| ctx.project_reference(handle, leaves))
-    }
-
-    /// Tree pattern match (projection + comparison).
-    pub fn pattern_match(&self, handle: TreeHandle, pattern: &Tree) -> CrimsonResult<PatternMatch> {
-        self.run(|ctx| ctx.pattern_match(handle, pattern))
-    }
-
-    /// Compare two stored trees inside the interval index.
-    pub fn compare_stored(
-        &self,
-        a: TreeHandle,
-        b: TreeHandle,
-        triplets: bool,
-    ) -> CrimsonResult<reconstruction::compare::SourceComparison> {
-        self.run(|ctx| ctx.compare_stored(a, b, triplets))
-    }
-
-    /// The names of a set of stored leaf nodes.
-    pub fn names_of(&self, nodes: &[StoredNodeId]) -> CrimsonResult<Vec<String>> {
-        self.run(|ctx| ctx.names_of(nodes))
-    }
-
-    /// Look up a tree by handle.
-    pub fn tree_record(&self, handle: TreeHandle) -> CrimsonResult<TreeRecord> {
-        self.run(|ctx| ctx.tree_record(handle))
-    }
-
-    /// Uniformly sample `k` distinct species from the tree (deterministic
-    /// per seed, identical to the writer's draws).
-    pub fn sample_uniform(
-        &self,
-        handle: TreeHandle,
-        k: usize,
-        seed: u64,
-    ) -> CrimsonResult<Vec<StoredNodeId>> {
-        self.run(|ctx| ctx.sample_uniform(handle, k, seed))
-    }
-
-    /// Cross-table invariant check over the pinned committed state.
-    pub fn integrity_check(&self) -> CrimsonResult<IntegrityReport> {
-        self.run(|ctx| ctx.integrity_check())
+        })
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::repository::RepositoryOptions;
+    use crate::experiment::{DistanceSource, ExperimentRunner, ExperimentSpec, Method};
+    use crate::history::QueryKind;
+    use crate::repository::{RepositoryOptions, TreeHandle};
+    use crate::sampling::SamplingStrategy;
     use phylo::builder::figure1_tree;
+    use phylo::Tree;
+    use simulation::gold::GoldStandardBuilder;
+    use std::collections::BTreeMap;
     use tempfile::tempdir;
+
+    /// Arguments for [`every_read`], drawn from the writer once.
+    struct Fixture {
+        gold: TreeHandle,
+        cold: TreeHandle,
+        root: StoredNodeId,
+        inner: StoredNodeId,
+        leaves: Vec<StoredNodeId>,
+        names: Vec<String>,
+        pattern: Tree,
+        tree: Tree,
+        time: f64,
+        experiment: u64,
+        result: u64,
+        history: u64,
+    }
+
+    /// Call every [`ReadOps`] method once on `r` and render each answer
+    /// with `{:?}`, so the three implementors can be compared line by line.
+    fn every_read<R: ReadOps>(r: &R, fx: &Fixture) -> Vec<String> {
+        macro_rules! answers {
+            ($($call:expr),* $(,)?) => {
+                vec![$(format!("{} = {:?}", stringify!($call), $call)),*]
+            };
+        }
+        let (g, a, b) = (fx.gold, fx.leaves[0], fx.leaves[fx.leaves.len() - 1]);
+        let name = fx.names[0].as_str();
+        let some: Vec<&str> = fx.names.iter().take(5).map(String::as_str).collect();
+        let root_hash = r.tree_stats(g).unwrap().unwrap().root_hash;
+        let frame = r.node_record(fx.inner).unwrap().frame;
+        answers![
+            r.find_tree("gold"),
+            r.tree_by_name("gold"),
+            r.tree_record(g),
+            r.list_trees(),
+            r.node_record(fx.inner),
+            r.node_record_arc(fx.inner),
+            r.node_record_uncached(fx.inner),
+            r.frame_record(frame),
+            r.children(fx.root),
+            r.species_node(g, name),
+            r.require_species_node(g, name),
+            r.leaves(g),
+            r.sequences_for(g, &fx.names)
+                .map(|m| m.into_iter().collect::<BTreeMap<_, _>>()),
+            r.species_count(g),
+            r.interval_of(fx.inner),
+            r.lca(a, b),
+            r.is_ancestor(fx.inner, a),
+            r.lca_label_walk(a, b),
+            r.minimal_spanning_clade(&[a, b]),
+            r.minimal_spanning_clade_reference(&[a, b]),
+            r.project(g, &fx.leaves[..6]),
+            r.project_reference(g, &fx.leaves[..6]),
+            r.project_species(g, &some),
+            r.pattern_match(g, &fx.pattern),
+            r.sample(g, &SamplingStrategy::Uniform { k: 5 }, 3),
+            r.sample_uniform(g, 5, 3),
+            r.sample_by_time(g, fx.time, 5, 3),
+            r.time_frontier(g, fx.time),
+            r.root_distance_frontier(g, fx.time),
+            r.leaves_under(fx.inner),
+            r.sample_by_names(g, &some),
+            r.names_of(&fx.leaves[..6]),
+            r.compare_stored(g, fx.cold, true),
+            r.compare_stored_with_tree(g, &fx.tree, false),
+            r.tree_stats(fx.cold),
+            r.trees_equal(g, fx.cold),
+            r.subtrees_equal(a, b),
+            r.subtree_hash(fx.root),
+            r.trees_with_root_hash(root_hash),
+            r.subtrees_with_hash(root_hash),
+            r.clade_refs_of(fx.cold),
+            r.content_stats(),
+            r.list_experiments(),
+            r.find_experiment("exp"),
+            r.experiment_by_name("exp"),
+            r.experiment_results(fx.experiment),
+            r.experiment_clades(fx.result),
+            r.query_history(),
+            r.history_entry(fx.history),
+            r.history_of_kind(QueryKind::Experiment),
+            r.integrity_check(),
+        ]
+    }
 
     #[test]
     fn reader_matches_writer_on_quiet_repository() {
@@ -823,30 +435,83 @@ mod tests {
             },
         )
         .unwrap();
-        let tree = figure1_tree();
-        let handle = repo.load_tree("fig1", &tree).unwrap();
-        let reader = repo.reader().unwrap();
-
-        assert_eq!(reader.tree_by_name("fig1").unwrap().handle, handle);
-        assert_eq!(reader.leaves(handle).unwrap().len(), 5);
-        let lla = reader.require_species_node(handle, "Lla").unwrap();
-        let spy = reader.require_species_node(handle, "Spy").unwrap();
-        assert_eq!(
-            reader.lca(lla, spy).unwrap(),
-            repo.lca(lla, spy).unwrap(),
-            "reader and writer disagree on an LCA"
-        );
-        assert_eq!(
-            reader.lca(lla, spy).unwrap(),
-            reader.lca_label_walk(lla, spy).unwrap()
-        );
-        let clade = reader.minimal_spanning_clade(&[lla, spy]).unwrap();
-        assert_eq!(clade, repo.minimal_spanning_clade(&[lla, spy]).unwrap());
-        let p = reader
-            .project_species(handle, &["Bha", "Lla", "Syn"])
+        let gold = GoldStandardBuilder::new()
+            .leaves(24)
+            .sequence_length(40)
+            .seed(5)
+            .build()
             .unwrap();
-        assert_eq!(p.leaf_count(), 3);
-        reader.integrity_check().unwrap();
+        let handle = repo.load_gold_standard("gold", &gold).unwrap();
+        let cold = repo.store_tree_shared("cold", &gold.tree, 1).unwrap();
+        let record = ExperimentRunner::new(&mut repo, handle)
+            .run(&ExperimentSpec {
+                name: "exp".into(),
+                methods: vec![Method::NeighborJoining],
+                strategies: vec![SamplingStrategy::Uniform { k: 8 }],
+                replicates: 1,
+                distance_source: DistanceSource::TruePatristic,
+                compute_triplets: false,
+                seed: 1,
+                workers: 1,
+                cell_commits: false,
+            })
+            .unwrap();
+
+        let root = repo.tree_record(handle).unwrap().root;
+        let leaves = repo.leaves(handle).unwrap();
+        let names = repo.names_of(&leaves).unwrap();
+        let some: Vec<&str> = names.iter().take(5).map(String::as_str).collect();
+        let fx = Fixture {
+            gold: handle,
+            cold,
+            root,
+            inner: repo.lca(leaves[0], leaves[1]).unwrap(),
+            pattern: repo.project_species(handle, &some).unwrap(),
+            tree: gold.tree.clone(),
+            time: repo.node_record(root).unwrap().subtree_height / 2.0,
+            experiment: record.id,
+            result: repo.experiment_results(record.id).unwrap()[0].id,
+            history: repo.history_of_kind(QueryKind::Experiment).unwrap()[0].id,
+            leaves,
+            names: names.clone(),
+        };
+
+        let writer = every_read(&repo, &fx);
+        for answer in &writer {
+            assert!(!answer.contains(" = Err("), "{answer}");
+        }
+        let reader = repo.reader().unwrap();
+        let pinned = reader.pin().unwrap();
+        for (who, answers) in [
+            ("reader", every_read(&reader, &fx)),
+            ("pinned", every_read(&pinned, &fx)),
+        ] {
+            assert_eq!(answers.len(), writer.len());
+            for (got, want) in answers.iter().zip(&writer) {
+                assert_eq!(got, want, "{who} and writer disagree");
+            }
+        }
+
+        // Spot checks that the shared answers are the right ones.
+        assert_eq!(reader.leaves(handle).unwrap().len(), 24);
+        let (a, b) = (fx.leaves[0], fx.leaves[1]);
+        assert_eq!(
+            reader.lca(a, b).unwrap(),
+            reader.lca_label_walk(a, b).unwrap()
+        );
+        assert_eq!(
+            pinned
+                .project_species(handle, &some[..3])
+                .unwrap()
+                .leaf_count(),
+            3
+        );
+        assert!(reader.trees_equal(handle, cold).unwrap());
+        assert!(!reader.clade_refs_of(cold).unwrap().is_empty());
+        assert!(!pinned
+            .subtrees_with_hash(pinned.subtree_hash(root).unwrap())
+            .unwrap()
+            .is_empty());
     }
 
     #[test]

@@ -20,14 +20,15 @@
 //!
 //! Every pure read — catalog lookups, node/frame fetches, LCA and the
 //! structure queries in [`crate::query`] — is implemented once on
-//! [`ReadCtx`], generic over [`storage::DbRead`]. The writer's `Repository`
-//! methods delegate to it over the live [`Database`]; concurrent
-//! [`crate::reader::RepositoryReader`]s delegate to it over a snapshot
-//! [`storage::DbReader`]. All of these take `&self`; only loading,
-//! checkpointing and history recording take `&mut self`.
+//! [`ReadCtx`], generic over [`storage::DbRead`], and exposed once as a
+//! [`ReadOps`] method. `Repository` runs it over the live [`Database`];
+//! concurrent [`crate::reader::RepositoryReader`]s run it over a pinned
+//! snapshot [`storage::EpochView`]. All of these take `&self`; only
+//! loading, checkpointing and history recording take `&mut self`.
 
 use crate::cache::ShardedCache;
 use crate::error::{CrimsonError, CrimsonResult};
+use crate::ops::ReadOps;
 use labeling::clade_hash::{self, CladeHash};
 use labeling::hierarchical::HierarchicalDewey;
 use labeling::interval::{interval_key_prefix, interval_range_end, IntervalEntry, IntervalLabels};
@@ -388,11 +389,11 @@ pub(crate) const TREE_SHIFT: u64 = 32;
 // ---------------------------------------------------------------------------
 
 /// The repository's read engine: every pure read is implemented here once,
-/// generic over [`DbRead`]. `Repository` instantiates it over the live
-/// [`Database`] (the writer sees its own uncommitted state);
-/// [`crate::reader::RepositoryReader`] instantiates it over a
-/// [`storage::DbReader`] snapshot (concurrent readers see the last
-/// committed state).
+/// generic over [`DbRead`], and published once as a [`ReadOps`] method.
+/// `Repository` instantiates it over the live [`Database`] (the writer sees
+/// its own uncommitted state); [`crate::reader::RepositoryReader`] and
+/// [`crate::reader::PinnedReader`] instantiate it over a pinned
+/// [`storage::EpochView`] (readers see a committed snapshot).
 pub(crate) struct ReadCtx<'a, D> {
     pub(crate) db: &'a D,
     pub(crate) tables: Tables,
@@ -2206,144 +2207,20 @@ impl Repository {
             .unwrap_or(0);
         Ok(if rows.is_empty() { 1 } else { max + 1 })
     }
+}
 
-    // ------------------------------------------------------------------
-    // Read surface (delegates to the shared engine; all `&self`)
-    // ------------------------------------------------------------------
+impl crate::ops::sealed::Sealed for Repository {}
 
-    /// Look up a tree by name.
-    pub fn find_tree(&self, name: &str) -> CrimsonResult<Option<TreeRecord>> {
-        self.ctx().find_tree(name)
-    }
+/// The writer reads its own current view, uncommitted work included.
+impl ReadOps for Repository {
+    type Db<'v> = Database;
 
-    /// Look up a tree by name, failing when absent.
-    pub fn tree_by_name(&self, name: &str) -> CrimsonResult<TreeRecord> {
-        self.ctx().tree_by_name(name)
-    }
-
-    /// Look up a tree by handle.
-    pub fn tree_record(&self, handle: TreeHandle) -> CrimsonResult<TreeRecord> {
-        self.ctx().tree_record(handle)
-    }
-
-    /// All trees currently loaded.
-    pub fn list_trees(&self) -> CrimsonResult<Vec<TreeRecord>> {
-        self.ctx().list_trees()
-    }
-
-    /// Fetch a node row (served from the repository's record cache when
-    /// warm; node rows are immutable once loaded, so cached entries never go
-    /// stale).
-    pub fn node_record(&self, id: StoredNodeId) -> CrimsonResult<NodeRecord> {
-        self.ctx().node_record(id)
-    }
-
-    /// Fetch a node row as a shared handle — the zero-copy variant the query
-    /// engine uses internally.
-    pub fn node_record_arc(&self, id: StoredNodeId) -> CrimsonResult<Arc<NodeRecord>> {
-        self.ctx().node_record_arc(id)
-    }
-
-    /// Fetch a node row straight from the node table, bypassing the record
-    /// cache. Reference path for the cache-effectiveness assertions.
-    pub fn node_record_uncached(&self, id: StoredNodeId) -> CrimsonResult<NodeRecord> {
-        self.ctx().node_record_uncached(id)
-    }
-
-    /// Fetch a frame row.
-    pub fn frame_record(&self, id: StoredFrameId) -> CrimsonResult<FrameRecord> {
-        self.ctx().frame_record(id)
-    }
-
-    /// Children of a stored node (via the parent index).
-    pub fn children(&self, id: StoredNodeId) -> CrimsonResult<Vec<StoredNodeId>> {
-        self.ctx().children(id)
-    }
-
-    /// The leaf node a species name maps to in the given tree, if any.
-    pub fn species_node(
-        &self,
-        handle: TreeHandle,
-        name: &str,
-    ) -> CrimsonResult<Option<StoredNodeId>> {
-        self.ctx().species_node(handle, name)
-    }
-
-    /// The leaf node a species name maps to, failing when absent.
-    pub fn require_species_node(
-        &self,
-        handle: TreeHandle,
-        name: &str,
-    ) -> CrimsonResult<StoredNodeId> {
-        self.ctx().require_species_node(handle, name)
-    }
-
-    /// All leaf node ids of a tree (via the `leaf_of_tree` index).
-    pub fn leaves(&self, handle: TreeHandle) -> CrimsonResult<Vec<StoredNodeId>> {
-        self.ctx().leaves(handle)
-    }
-
-    /// Sequences stored for the given species names.
-    pub fn sequences_for(
-        &self,
-        handle: TreeHandle,
-        names: &[String],
-    ) -> CrimsonResult<HashMap<String, String>> {
-        self.ctx().sequences_for(handle, names)
-    }
-
-    /// Number of species rows stored for a tree.
-    pub fn species_count(&self, handle: TreeHandle) -> CrimsonResult<usize> {
-        self.ctx().species_count(handle)
-    }
-
-    /// Verify cross-table invariants: every node, frame and species row
-    /// belongs to a tree in the catalog; per-tree node and leaf counts
-    /// match the tree row; both interval indexes hold exactly one entry per
-    /// node; every species row points at a leaf of its tree; the query
-    /// history parses in full. Violations — orphan rows from an interrupted
-    /// load, say — surface as [`CrimsonError::CorruptRepository`].
-    pub fn integrity_check(&self) -> CrimsonResult<IntegrityReport> {
-        self.ctx().integrity_check()
-    }
-
-    /// The packed `[pre, end]` interval of a stored node: one point lookup
-    /// in the `ivl_by_node` raw index, no row decode.
-    pub fn interval_of(&self, id: StoredNodeId) -> CrimsonResult<(u32, u32)> {
-        self.ctx().interval_of(id)
-    }
-
-    /// Least common ancestor of two stored nodes, computed entirely inside
-    /// the interval index.
-    ///
-    /// The enclosing-interval tests resolve the ancestor cases in O(1) after
-    /// two point lookups. Otherwise the walk lifts the lower-ranked node
-    /// through its stored `parent_pre` chain until its interval covers the
-    /// higher rank; every ancestor of one node that covers the other node's
-    /// rank is a common ancestor, and the first (deepest) one reached is the
-    /// LCA. Each step is one probe of the compact covering index — no node
-    /// row is fetched or decoded on this path.
-    pub fn lca(&self, a: StoredNodeId, b: StoredNodeId) -> CrimsonResult<StoredNodeId> {
-        self.ctx().lca(a, b)
-    }
-
-    /// `true` when `ancestor` is an ancestor-or-self of `node`: two interval
-    /// lookups and two integer comparisons (§2.2's LCA test, at the cost the
-    /// XML-indexing literature promises for interval labels).
-    pub fn is_ancestor(&self, ancestor: StoredNodeId, node: StoredNodeId) -> CrimsonResult<bool> {
-        self.ctx().is_ancestor(ancestor, node)
-    }
-
-    /// Least common ancestor computed from the stored hierarchical Dewey
-    /// labels (local prefix within a frame; source-node hops across frames),
-    /// exactly as §2.1 describes.
-    ///
-    /// This is the pre-interval-index implementation, kept as the reference
-    /// the property tests cross-validate [`Repository::lca`] against and as
-    /// the baseline for the page-read comparisons. It pays one full row
-    /// decode per node visited.
-    pub fn lca_label_walk(&self, a: StoredNodeId, b: StoredNodeId) -> CrimsonResult<StoredNodeId> {
-        self.ctx().lca_label_walk(a, b)
+    #[allow(private_bounds)]
+    fn with_ctx<R, F>(&self, f: F) -> CrimsonResult<R>
+    where
+        F: Fn(&ReadCtx<'_, Database>) -> CrimsonResult<R>,
+    {
+        f(&self.ctx())
     }
 }
 

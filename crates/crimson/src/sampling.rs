@@ -10,7 +10,7 @@
 //! under each frontier node.
 
 use crate::error::{CrimsonError, CrimsonResult};
-use crate::repository::{ReadCtx, Repository, StoredNodeId, TreeHandle};
+use crate::repository::{ReadCtx, StoredNodeId, TreeHandle};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
@@ -98,10 +98,10 @@ impl<D: DbRead> ReadCtx<'_, D> {
 
     /// Sample `k` species with respect to evolutionary time `time` (§2.2).
     ///
-    /// The frontier is found with a range scan on the `root_dist` index
-    /// (cumulative time ≥ `time`), keeping only nodes whose parent is above
-    /// the threshold's other side; `k` leaves are then drawn round-robin from
-    /// the frontier subtrees.
+    /// The frontier is [`Self::time_frontier`] — a range scan on the
+    /// `subtree_height` index (clade age ≤ `time`), keeping only nodes whose
+    /// parent's clade is older than `time`; `k` leaves are then drawn
+    /// round-robin from the frontier subtrees.
     pub fn sample_by_time(
         &self,
         handle: TreeHandle,
@@ -162,7 +162,7 @@ impl<D: DbRead> ReadCtx<'_, D> {
         Ok(picked)
     }
 
-    /// The evolutionary-time frontier used by [`Repository::sample_by_time`]:
+    /// The evolutionary-time frontier used by [`Self::sample_by_time`]:
     /// the **maximal nodes whose clade age (subtree height) is at most
     /// `time`** — every node below the frontier diverged from its frontier
     /// ancestor within the last `time` units.
@@ -172,8 +172,9 @@ impl<D: DbRead> ReadCtx<'_, D> {
     /// is the parent of `Lla` and `Spy`. (The paper's prose says "nodes whose
     /// total weight from the root exceeds t", which on the same tree would
     /// give a different, smaller set; the worked example is taken as the
-    /// authoritative semantics — see DESIGN.md. The literal prose predicate
-    /// is available as [`Repository::root_distance_frontier`].)
+    /// authoritative semantics because it is the one concrete answer the
+    /// paper gives. The literal prose predicate is available as
+    /// [`ReadOps::root_distance_frontier`](crate::ReadOps::root_distance_frontier).)
     ///
     /// Implemented with a range scan over the `subtree_height` index followed
     /// by a parent check, so only the candidate rows are read.
@@ -284,77 +285,11 @@ impl<D: DbRead> ReadCtx<'_, D> {
     }
 }
 
-impl Repository {
-    /// Execute a sampling strategy, returning the selected leaf nodes.
-    pub fn sample(
-        &self,
-        handle: TreeHandle,
-        strategy: &SamplingStrategy,
-        seed: u64,
-    ) -> CrimsonResult<Vec<StoredNodeId>> {
-        self.ctx().sample(handle, strategy, seed)
-    }
-
-    /// Uniformly sample `k` distinct species from the tree.
-    pub fn sample_uniform(
-        &self,
-        handle: TreeHandle,
-        k: usize,
-        seed: u64,
-    ) -> CrimsonResult<Vec<StoredNodeId>> {
-        self.ctx().sample_uniform(handle, k, seed)
-    }
-
-    /// Sample `k` species with respect to evolutionary time `time` (§2.2).
-    pub fn sample_by_time(
-        &self,
-        handle: TreeHandle,
-        time: f64,
-        k: usize,
-        seed: u64,
-    ) -> CrimsonResult<Vec<StoredNodeId>> {
-        self.ctx().sample_by_time(handle, time, k, seed)
-    }
-
-    /// The evolutionary-time frontier used by [`Repository::sample_by_time`].
-    pub fn time_frontier(&self, handle: TreeHandle, time: f64) -> CrimsonResult<Vec<StoredNodeId>> {
-        self.ctx().time_frontier(handle, time)
-    }
-
-    /// The literal frontier from the paper's prose: the minimal nodes whose
-    /// cumulative distance from the root is at least `time`.
-    pub fn root_distance_frontier(
-        &self,
-        handle: TreeHandle,
-        time: f64,
-    ) -> CrimsonResult<Vec<StoredNodeId>> {
-        self.ctx().root_distance_frontier(handle, time)
-    }
-
-    /// All leaves in the subtree rooted at `node`.
-    pub fn leaves_under(&self, node: StoredNodeId) -> CrimsonResult<Vec<StoredNodeId>> {
-        self.ctx().leaves_under(node)
-    }
-
-    /// Resolve an explicit list of species names to leaf nodes.
-    pub fn sample_by_names(
-        &self,
-        handle: TreeHandle,
-        names: &[&str],
-    ) -> CrimsonResult<Vec<StoredNodeId>> {
-        self.ctx().sample_by_names(handle, names)
-    }
-
-    /// Convenience: the names of a set of stored leaf nodes.
-    pub fn names_of(&self, nodes: &[StoredNodeId]) -> CrimsonResult<Vec<String>> {
-        self.ctx().names_of(nodes)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::repository::RepositoryOptions;
+    use crate::repository::{Repository, RepositoryOptions};
+    use crate::ReadOps;
     use phylo::builder::figure1_tree;
     use simulation::birth_death::yule_tree;
     use std::collections::HashSet;

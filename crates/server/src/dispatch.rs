@@ -10,7 +10,9 @@
 //!   different connections share the pin, the buffer-pool working set, and
 //!   the epoch bookkeeping, which is where the multi-connection throughput
 //!   scaling comes from. A job whose pinned epoch is retired mid-batch
-//!   falls back to fresh pins of its own.
+//!   re-runs on the tenant's [`crimson::RepositoryReader`], whose bounded,
+//!   backed-off [`crimson::ReadRetry`] is the same re-pin policy embedded
+//!   callers get (exhausting it answers `Busy`).
 //! * **Writes are exclusive.** A write job locks its tenant's single
 //!   writer, commits (the writer rides
 //!   [`crimson::repository::Durability::Async`], so the lock is held only
@@ -32,7 +34,7 @@ use std::time::Duration;
 use crimson::experiment::{DistanceSource, ExperimentRunner, ExperimentSpec, Method};
 use crimson::repository::{StoredNodeId, TreeHandle};
 use crimson::sampling::SamplingStrategy;
-use crimson::{CrimsonError, PinnedReader};
+use crimson::{CrimsonError, ReadOps};
 
 use crate::frame::encode_frame;
 use crate::msg::{
@@ -265,13 +267,6 @@ fn worker_loop(queue: &Queue, config: &DispatchConfig, stats: &ServerStats) {
     }
 }
 
-fn is_snapshot_retired(e: &CrimsonError) -> bool {
-    matches!(
-        e,
-        CrimsonError::Storage(storage::StorageError::SnapshotRetired { .. })
-    )
-}
-
 /// Run a batch of read jobs against one pinned epoch.
 fn execute_read_batch(batch: Vec<Job>, stats: &ServerStats) {
     let n = batch.len() as u64;
@@ -285,10 +280,12 @@ fn execute_read_batch(batch: Vec<Job>, stats: &ServerStats) {
         Ok(pin) => {
             for job in batch {
                 let resp = match exec_read(&pin, &job.request) {
-                    Ok(resp) => resp,
-                    Err(e) if is_snapshot_retired(&e) => read_with_fresh_pin(&job),
-                    Err(e) => Response::Error(WireError::from(&e)),
-                };
+                    // The batch's shared epoch was retired under this job:
+                    // re-run it through the reader's own re-pin policy.
+                    Err(e) if e.is_snapshot_retired() => exec_read(&tenant.reader, &job.request),
+                    out => out,
+                }
+                .unwrap_or_else(|e| Response::Error(WireError::from(&e)));
                 job.reply.send(job.correlation, &resp);
             }
         }
@@ -301,27 +298,6 @@ fn execute_read_batch(batch: Vec<Job>, stats: &ServerStats) {
                     .send(job.correlation, &Response::Error(wire.clone()));
             }
         }
-    }
-}
-
-/// Per-job fallback when the batch's shared epoch was retired under it:
-/// retry on fresh pins of our own, then report the retirement honestly.
-fn read_with_fresh_pin(job: &Job) -> Response {
-    let mut last = None;
-    for _ in 0..3 {
-        let pin = match job.tenant.reader.pin() {
-            Ok(p) => p,
-            Err(e) => return Response::Error(WireError::from(&e)),
-        };
-        match exec_read(&pin, &job.request) {
-            Ok(resp) => return resp,
-            Err(e) if is_snapshot_retired(&e) => last = Some(e),
-            Err(e) => return Response::Error(WireError::from(&e)),
-        }
-    }
-    match last {
-        Some(e) => Response::Error(WireError::from(&e)),
-        None => unreachable!("loop ran at least once"),
     }
 }
 
@@ -346,8 +322,9 @@ fn ids(nodes: Vec<StoredNodeId>) -> Vec<u64> {
     nodes.into_iter().map(|n| n.0).collect()
 }
 
-/// Execute one read request against a pinned snapshot.
-fn exec_read(pin: &PinnedReader<'_>, req: &Request) -> Result<Response, CrimsonError> {
+/// Execute one read request against a pinned snapshot or a re-pinning
+/// reader.
+fn exec_read<R: ReadOps>(pin: &R, req: &Request) -> Result<Response, CrimsonError> {
     Ok(match req {
         Request::ListTrees => Response::Trees(pin.list_trees()?.iter().map(wire_tree).collect()),
         Request::TreeByName { name } => Response::Tree(wire_tree(&pin.tree_by_name(name)?)),

@@ -126,9 +126,9 @@ pub enum ErrorCode {
     /// mode; the mutation was refused.
     ReadOnly = 218,
     /// `StorageError::SnapshotRetired` — a pinned epoch outlived the
-    /// bounded version chain (normally absorbed by the dispatch layer's
-    /// re-pin fallback; surfacing it here is a server bug guard, not an
-    /// expected client experience).
+    /// bounded version chain (absorbed by the tenant reader's re-pin
+    /// fallback, which answers `Busy` when exhausted; surfacing it here is
+    /// a server bug guard, not an expected client experience).
     SnapshotRetired = 219,
 }
 

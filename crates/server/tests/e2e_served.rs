@@ -11,6 +11,7 @@ use std::sync::Arc;
 use crimson::experiment::{DistanceSource, ExperimentRunner, ExperimentSpec, Method};
 use crimson::repository::{Repository, RepositoryOptions, StoredNodeId, TreeHandle};
 use crimson::sampling::SamplingStrategy;
+use crimson::ReadOps;
 use crimson_server::dispatch::DispatchConfig;
 use crimson_server::msg::{
     Request, Response, WireDurability, WireExperimentSpec, WireMethod, WireStrategy,

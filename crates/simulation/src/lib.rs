@@ -4,7 +4,7 @@
 //! models and very complex sequence evolution models" that act as a *gold
 //! standard* against which reconstruction algorithms are benchmarked. The
 //! curated CIPRes trees themselves are not available, so this crate is the
-//! substitution (see DESIGN.md): stochastic tree generators and standard
+//! substitution: stochastic tree generators and standard
 //! molecular-evolution models producing trees and alignments with the same
 //! structural properties (depth, size, branch-length distribution, species
 //! data volume) the real gold standards have.

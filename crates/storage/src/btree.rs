@@ -10,8 +10,9 @@
 //! Duplicate keys are permitted; uniqueness is enforced one level up (in
 //! [`crate::db::Database`]) where the semantics of the index are known.
 //! Deletion removes entries without rebalancing: the Crimson workload is
-//! load-once/query-many, so space reclamation is not worth the complexity
-//! (documented trade-off, see DESIGN.md).
+//! load-once/query-many, so space reclamation is not worth the complexity.
+//! The cost of that trade-off is under-full pages after deletes, which
+//! range scans still walk.
 
 use crate::buffer::{BufferPool, PageSource, PinnedPage};
 use crate::error::{StorageError, StorageResult};

@@ -77,7 +77,9 @@
 //! paper's workload requires — bulk load, point/range reads, secondary
 //! indexes, atomic durable transactions, single-writer/many-reader
 //! concurrency — rather than a SQL surface or multi-writer concurrency.
-//! See `DESIGN.md` §2 for the substitution argument.
+//! It stands in for the relational DBMS the paper builds on: the
+//! repository needs tables, B+tree indexes and atomic loads from it, not
+//! query planning, so nothing beyond that is built.
 //!
 //! ```
 //! use storage::db::Database;
